@@ -1,13 +1,10 @@
-"""Scheduler tail latency: shards vs static LPT vs the predictive
-cost model with affinity placement.
+"""Scheduler tail latency: static LPT vs the predictive cost model
+with affinity placement.
 
-The workload the queue rewrite (and now the cost model) exists for: a
-**mixed batch** — one huge module (12 hot loops, one function each)
-sharing the service with 15 tiny one-loop modules.  Three modes:
+The workload the cost model exists for: a **mixed batch** — one huge
+module (12 hot loops, one function each) sharing the service with 15
+tiny one-loop modules.  Two modes:
 
-- **shard** (legacy): the huge module's roster is unknown on a cold
-  batch, so it rides one shard: a single worker chews all 12 loops
-  back to back and the batch's tail stretches to that shard.
 - **static** (queue, ``cost_model=False``): a discovery task reports
   the roster and the loops become independently-stealable tasks, but
   LPT weights come from the *profiled* time fractions.  The simulated
@@ -25,9 +22,8 @@ sharing the service with 15 tiny one-loop modules.  Three modes:
 The benchmark has two halves:
 
 1. **Answer equality** (real analysis, inline executor): the mixed
-   batch must produce identical answers, loop for loop, across shard
-   mode, static queue mode, a cold predictive run, and a warm
-   predictive run (durations pre-seeded so the predicted-roster fast
+   batch must produce identical answers, loop for loop, across static
+   queue mode, a cold predictive run, and a warm predictive run (durations pre-seeded so the predicted-roster fast
    path actually exercises).  This is the CI gate.
 2. **Tail latency** (cost-model simulation, 4 thread workers):
    injected runners sleep for a fixed per-module setup cost (paid
@@ -41,8 +37,8 @@ The benchmark has two halves:
 ``REPRO_SCHED_SMOKE=1`` (CI) runs everything but gates only on
 equality plus *predictive p95 <= static p95*; the full run asserts
 the headlines — predictive p95 at least **1.3x** better than static
-LPT, static at least **2x** better than shards, and a strictly
-higher prepared-hit rate under affinity placement — and writes the
+LPT and a strictly higher prepared-hit rate under affinity
+placement — and writes the
 numbers (including prediction-error stats) to
 ``BENCH_scheduler.json`` at the repo root so the workflow can upload
 the artifact.
@@ -163,12 +159,12 @@ def mixed_batch():
 
 # -- half 1: answer equality (real analysis) ---------------------------------
 
-def run_equality(mode: str, requests, cache=None, cost_model=None):
+def run_equality(requests, cache=None, cost_model=True):
     from repro.service import BatchScheduler, reset_prepared_cache
 
     reset_prepared_cache()  # the inline executor shares this process
     scheduler = BatchScheduler(workers=0, executor="inline",
-                               cache=cache, mode=mode,
+                               cache=cache,
                                incremental=False, cost_model=cost_model)
     try:
         answers = scheduler.run_batch(requests)
@@ -180,7 +176,7 @@ def run_equality(mode: str, requests, cache=None, cost_model=None):
                        for answer_list in answers],
         "loops": sum(len(a) for a in answers),
         "fallbacks": snap.loops_fallback,
-        "tasks": snap.loop_tasks_dispatched or snap.shards_dispatched,
+        "tasks": snap.loop_tasks_dispatched,
         "rosters_predicted": snap.roster_predictions,
     }
 
@@ -286,32 +282,11 @@ class _SimWorkers:
             setup_s=0.0 if hit else setup_s, prepared_hit=hit,
             total_instructions=instrs)
 
-    def run_shard(self, task):
-        from repro.service import ShardResult, fallback_answer
-
-        started = time.perf_counter()
-        request = task.request
-        roster, fractions, costs, setup_s, instrs = \
-            self.plan[request.name]
-        loops = task.loops or roster
-        time.sleep(setup_s + sum(costs.get(name, 0.0) for name in loops))
-        answers = [fallback_answer(request.name, request.system, name,
-                                   fractions.get(name, 0.0))
-                   for name in loops]
-        return ShardResult(
-            version_key=request.version_key(), workload=request.name,
-            system=request.system, entry=request.entry,
-            profile_digest="sim", hot_loops=roster,
-            hot_fractions=dict(fractions), answers=answers,
-            busy_s=time.perf_counter() - started,
-            total_instructions=instrs)
-
 
 def run_simulated(sim_mode: str, requests):
-    """One simulated batch.  ``sim_mode``: ``shard`` (legacy),
-    ``static`` (queue, cost model off) or ``predictive`` (queue, cost
-    model on, durations pre-seeded as a prior batch would leave
-    them)."""
+    """One simulated batch.  ``sim_mode``: ``static`` (cost model off)
+    or ``predictive`` (cost model on, durations pre-seeded as a prior
+    batch would leave them)."""
     from repro.service import BatchScheduler, ResultCache
 
     plan = _sim_plan(requests)
@@ -323,14 +298,13 @@ def run_simulated(sim_mode: str, requests):
             seed_durations(cache, requests, plan)
         scheduler = BatchScheduler(
             workers=WORKERS, executor="thread", cache=cache,
-            mode="shard" if sim_mode == "shard" else "queue",
             incremental=False,
             cost_model=(sim_mode == "predictive"),
             # 16 distinct modules ride the queue at once; size each
             # worker's prepared LRU so churning tiny modules cannot
             # evict the huge one between its loop tasks.
             prepared_cache_size=8,
-            shard_runner=sim.run_shard, loop_runner=sim.run_loop_task)
+            loop_runner=sim.run_loop_task)
         started = time.perf_counter()
         try:
             scheduler.run_batch(requests)
@@ -357,7 +331,6 @@ def run_simulated(sim_mode: str, requests):
         "setup_s": snap.setup_s,
         "busy_s": snap.busy_s,
         "loop_tasks": snap.loop_tasks_dispatched,
-        "shards": snap.shards_dispatched,
     }
 
 
@@ -373,7 +346,7 @@ def _row(doc):
     return [doc["mode"], f"{doc['makespan_s']:.3f}",
             f"{c.get('p50_s', 0.0):.3f}", f"{c.get('p95_s', 0.0):.3f}",
             f"{c.get('p99_s', 0.0):.3f}",
-            str(doc["loop_tasks"] or doc["shards"]),
+            str(doc["loop_tasks"]),
             f"{doc['prepared_hits']}/{doc['prepared_misses']}"]
 
 
@@ -381,21 +354,18 @@ def _p95(doc) -> float:
     return doc["completion"].get("p95_s", 0.0)
 
 
-def _report(shard_doc, static_doc, pred_doc, equal: bool) -> str:
+def _report(static_doc, pred_doc, equal: bool) -> str:
     table = format_table(
         ["mode", "makespan(s)", "p50(s)", "p95(s)", "p99(s)", "tasks",
          "prepared h/m"],
-        [_row(shard_doc), _row(static_doc), _row(pred_doc)],
+        [_row(static_doc), _row(pred_doc)],
         title=f"Mixed batch (1x{HUGE_LOOPS}-loop huge incl. whale + "
               f"{TINY_COUNT} tiny), per-request completion "
               f"[{WORKERS} simulated workers, cost-model runners]")
     q95, p95 = _p95(static_doc), _p95(pred_doc)
-    s_mk, q_mk = shard_doc["makespan_s"], static_doc["makespan_s"]
     err = pred_doc["prediction_error"]
     lines = [
         table, "",
-        f"makespan speedup (shard/static): "
-        f"{(s_mk / q_mk) if q_mk else float('inf'):.2f}x",
         f"p95 speedup (static/predictive): "
         f"{(q95 / p95) if p95 else float('inf'):.2f}x",
         f"prepared-hit rate: static {hit_rate(static_doc):.2f} -> "
@@ -410,8 +380,7 @@ def _report(shard_doc, static_doc, pred_doc, equal: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_json(shard_doc, static_doc, pred_doc, equality,
-                smoke: bool) -> None:
+def _write_json(static_doc, pred_doc, equality, smoke: bool) -> None:
     def rounded(doc):
         out = dict(doc)
         out["completion"] = {k: round(v, 6)
@@ -425,7 +394,6 @@ def _write_json(shard_doc, static_doc, pred_doc, equality,
         return out
 
     q95, p95 = _p95(static_doc), _p95(pred_doc)
-    s_mk, q_mk = shard_doc["makespan_s"], static_doc["makespan_s"]
     payload = {
         "benchmark": "bench_scheduler_tail",
         "batch": {"huge": 1, "huge_loops": HUGE_LOOPS,
@@ -440,11 +408,8 @@ def _write_json(shard_doc, static_doc, pred_doc, equality,
                                   "tiny": SIM_TINY_INSTRUCTIONS},
         "smoke": smoke,
         "answers_identical": equality,
-        "shard": rounded(shard_doc),
         "static": rounded(static_doc),
         "predictive": rounded(pred_doc),
-        "makespan_speedup_shard_over_static":
-            round(s_mk / q_mk, 3) if q_mk else None,
         "p95_speedup_static_over_predictive":
             round(q95 / p95, 3) if p95 else None,
         "prepared_hit_rate": {"static": round(hit_rate(static_doc), 4),
@@ -462,46 +427,41 @@ def test_scheduler_tail_latency(benchmark):
     requests = mixed_batch()
 
     def once():
-        shard_eq = run_equality("shard", requests)
-        static_eq = run_equality("queue", requests, cost_model=False)
+        static_eq = run_equality(requests, cost_model=False)
         with tempfile.TemporaryDirectory() as tmp:
             # Cold predictive: empty durations table, model degrades
             # to the static prior; its run persists real measured
             # durations, which seed the warm run's predicted rosters.
             cold_cache = ResultCache(os.path.join(tmp, "cold"))
-            cold_eq = run_equality("queue", requests, cache=cold_cache,
-                                   cost_model=True)
+            cold_eq = run_equality(requests, cache=cold_cache)
             warm_cache = ResultCache(os.path.join(tmp, "warm"))
             copy_durations(cold_cache, warm_cache, requests)
-            warm_eq = run_equality("queue", requests, cache=warm_cache,
-                                   cost_model=True)
+            warm_eq = run_equality(requests, cache=warm_cache)
             cold_cache.close()
             warm_cache.close()
-        return (shard_eq, static_eq, cold_eq, warm_eq,
-                run_simulated("shard", requests),
+        return (static_eq, cold_eq, warm_eq,
                 run_simulated("static", requests),
                 run_simulated("predictive", requests))
 
-    (shard_eq, static_eq, cold_eq, warm_eq,
-     shard_doc, static_doc, pred_doc) = benchmark.pedantic(
+    (static_eq, cold_eq, warm_eq,
+     static_doc, pred_doc) = benchmark.pedantic(
         once, rounds=1, iterations=1)
-    equal = (shard_eq["identities"] == static_eq["identities"]
-             == cold_eq["identities"] == warm_eq["identities"])
+    equal = (static_eq["identities"] == cold_eq["identities"]
+             == warm_eq["identities"])
     emit("scheduler_tail_smoke.txt" if smoke else "scheduler_tail.txt",
-         _report(shard_doc, static_doc, pred_doc, equal))
-    _write_json(shard_doc, static_doc, pred_doc, equal, smoke)
+         _report(static_doc, pred_doc, equal))
+    _write_json(static_doc, pred_doc, equal, smoke)
 
     # The CI gate (both runs): same answers, loop for loop, through
     # real analysis in every mode — including the predicted-roster
     # fast path — with no degradations hiding behind the comparison.
     assert equal, "scheduler modes produced divergent answers"
-    assert (shard_eq["loops"] == static_eq["loops"]
-            == cold_eq["loops"] == warm_eq["loops"] > 0)
+    assert (static_eq["loops"] == cold_eq["loops"]
+            == warm_eq["loops"] > 0)
     assert all(eq["fallbacks"] == 0
-               for eq in (shard_eq, static_eq, cold_eq, warm_eq))
+               for eq in (static_eq, cold_eq, warm_eq))
     assert warm_eq["rosters_predicted"] > 0, (
         "warm predictive run never took the predicted-roster path")
-    assert shard_doc["shards"] > 0
     assert static_doc["loop_tasks"] > 0 and pred_doc["loop_tasks"] > 0
     assert pred_doc["rosters_predicted"] > 0
 
@@ -513,17 +473,9 @@ def test_scheduler_tail_latency(benchmark):
     if smoke:
         return
 
-    # The headlines.  Static queue vs legacy shards keeps the
-    # queue-rewrite bar (makespan, which the fixed sleep costs pin
-    # down; the per-request p95 of shard mode's bimodal 16-sample
-    # distribution lands between histogram buckets and is too noisy
-    # to gate); the measured-duration model must beat static LPT by
-    # 1.3x on the whale batch and strictly improve the prepared-hit
+    # The headlines: the measured-duration model must beat static LPT
+    # by 1.3x on the whale batch and strictly improve the prepared-hit
     # rate via affinity placement.
-    s_mk, q_mk = shard_doc["makespan_s"], static_doc["makespan_s"]
-    assert q_mk * 1.7 <= s_mk, (
-        f"static makespan {q_mk:.3f}s vs shard {s_mk:.3f}s — "
-        f"expected >= 1.7x improvement")
     assert p95 * 1.3 <= q95, (
         f"predictive p95 {p95:.3f}s vs static p95 {q95:.3f}s — "
         f"expected >= 1.3x improvement")

@@ -29,7 +29,13 @@ Commands
              recent rates, windowed latency percentiles, per-client
              attribution, flight-recorder occupancy
 
-``analyze`` and ``batch`` accept ``--trace out.json`` to record an
+``analyze``, ``batch`` and ``serve`` share one set of serving-layer
+flags (``--workers``, ``--executor``, ``--cache-dir``, ``--cache-l2``,
+``--timeout``, ``--no-incremental``, ``--prepared-cache-size``,
+``--no-cost-model``); like every flag used by more than one command,
+they are declared once, in a parent parser the commands inherit.
+
+The same three commands accept ``--trace out.json`` to record an
 end-to-end span timeline (``repro.obs``): Chrome trace-event format
 by default (open in Perfetto), JSONL when the path ends in
 ``.jsonl``.  A traced run also prints the per-module attribution
@@ -238,23 +244,31 @@ def _print_loop_answers(answers, system: str, deps: bool = False,
                       f"{q.src} -> {q.dst}{mods}")
 
 
+def _service_config(args, **extra):
+    """The :class:`ServiceConfig` the shared service flags describe
+    (``analyze``/``batch``/``serve``); ``extra`` adds command-only
+    fields."""
+    from .service import ServiceConfig
+    if args.workers is not None:  # analyze: None keeps the default
+        extra["workers"] = args.workers
+    return ServiceConfig(executor=args.executor,
+                         cache_dir=args.cache_dir,
+                         cache_l2=_cache_l2(args),
+                         task_timeout_s=args.timeout,
+                         incremental=not args.no_incremental,
+                         prepared_cache_size=args.prepared_cache_size,
+                         cost_model=not args.no_cost_model,
+                         **extra)
+
+
 def _analyze_via_service(args) -> int:
     """The ``analyze --workers/--cache-dir`` path: one-request batch."""
     from .service import (
         DependenceService,
-        ServiceConfig,
         loop_answer_to_dict,
         request_for_file,
     )
-    workers = args.workers if args.workers is not None else 4
-    config = ServiceConfig(workers=workers, executor=args.executor,
-                           cache_dir=args.cache_dir,
-                           cache_l2=_cache_l2(args),
-                           shard_timeout_s=args.timeout,
-                           incremental=not args.no_incremental,
-                           mode="queue" if args.queue else "shard",
-                           prepared_cache_size=args.prepared_cache_size)
-    with DependenceService(config) as service:
+    with DependenceService(_service_config(args)) as service:
         answers = service.analyze(request_for_file(
             args.file, entry=args.entry, system=args.system))
         snapshot = service.snapshot()
@@ -459,7 +473,6 @@ def _cmd_batch(args) -> int:
     """Serve many workloads through the batched query service."""
     from .service import (
         DependenceService,
-        ServiceConfig,
         format_report,
         loop_answer_to_dict,
     )
@@ -474,15 +487,8 @@ def _cmd_batch(args) -> int:
         if status is not None:
             return status
 
-    config = ServiceConfig(workers=args.workers, executor=args.executor,
-                           cache_dir=args.cache_dir,
-                           cache_l2=_cache_l2(args),
-                           shard_timeout_s=args.timeout,
-                           incremental=not args.no_incremental,
-                           mode="queue" if args.queue else "shard",
-                           prepared_cache_size=args.prepared_cache_size)
     started = time.perf_counter()
-    with DependenceService(config) as service:
+    with DependenceService(_service_config(args)) as service:
         batch = service.run_batch(requests)
     wall_s = time.perf_counter() - started
 
@@ -510,17 +516,10 @@ def _cmd_batch(args) -> int:
 def cmd_serve(args) -> int:
     """Run the resident analysis daemon until a shutdown drains it."""
     from .daemon import AnalysisDaemon, DaemonConfig
-    from .service import ServiceConfig
 
     tracer = _start_trace(args)
     addr = args.addr or _default_daemon_addr()
-    service = ServiceConfig(workers=args.workers, executor=args.executor,
-                            cache_dir=args.cache_dir,
-                            cache_l2=_cache_l2(args),
-                            shard_timeout_s=args.timeout,
-                            incremental=not args.no_incremental,
-                            prepared_cache_size=args.prepared_cache_size,
-                            idle_ttl_s=args.idle_ttl)
+    service = _service_config(args, idle_ttl_s=args.idle_ttl)
     daemon = AnalysisDaemon(DaemonConfig(
         addr=addr, service=service,
         max_queue_depth=args.max_queue_depth,
@@ -742,6 +741,47 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _parent() -> argparse.ArgumentParser:
+    """A help-less parser whose flags subcommands inherit."""
+    return argparse.ArgumentParser(add_help=False)
+
+
+def _service_flags() -> argparse.ArgumentParser:
+    """The serving-layer flags of ``analyze``/``batch``/``serve``.
+
+    Built fresh for each of those commands: argparse shares a parent's
+    actions by reference, so the ``set_defaults(workers=4)`` of
+    ``batch``/``serve`` would otherwise leak into ``analyze``, whose
+    ``--workers`` must stay ``None`` unless given."""
+    p = _parent()
+    p.add_argument("--workers", type=int, default=None,
+                   help="pool workers (default 4; on analyze, giving it "
+                        "routes the request through the serving layer)")
+    p.add_argument("--executor", choices=("process", "thread", "inline"),
+                   default="process")
+    p.add_argument("--cache-dir", default=None,
+                   help="persistent result-cache directory (on analyze, "
+                        "implies the serving layer)")
+    p.add_argument("--cache-l2", default=None, metavar="URL",
+                   help="remote L2 cache tier (redis://host:port; the "
+                        "REPRO_CACHE_L2 environment variable works too); "
+                        "requires --cache-dir")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="per-task deadline in seconds")
+    p.add_argument("--no-incremental", action="store_true",
+                   help="disable footprint-based incremental reuse of "
+                        "cached answers across module edits")
+    p.add_argument("--prepared-cache-size", type=int, default=None,
+                   metavar="N",
+                   help="worker-resident prepared-module LRU capacity")
+    p.add_argument("--no-cost-model", action="store_true",
+                   help="schedule by the static LPT estimate instead of "
+                        "measured-duration predictions (the "
+                        "REPRO_NO_COST_MODEL environment variable works "
+                        "too)")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -749,171 +789,82 @@ def build_parser() -> argparse.ArgumentParser:
                     "analysis (PLDI 2020 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute a textual-IR program")
-    p_run.add_argument("file")
-    p_run.add_argument("--entry", default="main")
-    p_run.add_argument("--no-compile", action="store_true",
-                       help="force the tree-walking interpreter (skip "
-                            "closure compilation)")
-    p_run.set_defaults(func=cmd_run)
+    # Flags shared by several subcommands, each declared once.
+    file_ = _parent()
+    file_.add_argument("file")
+    entry = _parent()
+    entry.add_argument("--entry", default="main",
+                       help="entry function (default main; batch and "
+                            "submit apply it to .ir file targets only)")
+    compile_ = _parent()
+    compile_.add_argument("--no-compile", action="store_true",
+                          help="force the tree-walking interpreter "
+                               "(skip closure compilation)")
+    json_ = _parent()
+    json_.add_argument("--json", action="store_true",
+                       help="machine-readable JSON output")
+    system = _parent()
+    system.add_argument("--system", choices=sorted(SYSTEM_BUILDERS),
+                        default="scaf")
+    daemon = _parent()
+    daemon.add_argument("--daemon", default=None, metavar="ADDR",
+                        help="address of a running `repro serve` "
+                             "(unix:/path.sock or host:port); defaults "
+                             "to the REPRO_DAEMON environment variable, "
+                             "then, for submit/shutdown/top, to the "
+                             "default unix socket; batch falls back to "
+                             "the in-process pool when it is "
+                             "unreachable, stats reads it instead of a "
+                             "trace file")
+    trace = _parent()
+    trace.add_argument("--trace", default=None, metavar="PATH",
+                       help="record a span timeline (Chrome trace-event "
+                            "format; JSONL when PATH ends in .jsonl); "
+                            "serve writes it on exit, all sessions in "
+                            "one tree")
+    trace.add_argument("--trace-sample", type=int, default=1, metavar="N",
+                       help="record every N-th query subtree (default 1)")
+    # `--all` means "every workload" here but "list removed deps" on
+    # analyze, so analyze declares its own.
+    targets = _parent()
+    targets.add_argument("targets", nargs="*",
+                         help="workload names (see repro.workloads) "
+                              "and/or .ir files")
+    targets.add_argument("--all", action="store_true",
+                         help="every registered workload (all 16)")
 
-    p_fmt = sub.add_parser("fmt", help="parse, verify, pretty-print")
-    p_fmt.add_argument("file")
-    p_fmt.set_defaults(func=cmd_fmt)
+    sub.add_parser("run", parents=[file_, entry, compile_],
+                   help="execute a textual-IR program"
+                   ).set_defaults(func=cmd_run)
+    sub.add_parser("fmt", parents=[file_],
+                   help="parse, verify, pretty-print"
+                   ).set_defaults(func=cmd_fmt)
+    sub.add_parser("profile", parents=[file_, entry, json_, compile_],
+                   help="run the profilers").set_defaults(func=cmd_profile)
 
-    p_prof = sub.add_parser("profile", help="run the profilers")
-    p_prof.add_argument("file")
-    p_prof.add_argument("--entry", default="main")
-    p_prof.add_argument("--json", action="store_true",
-                        help="machine-readable profiler summary")
-    p_prof.add_argument("--no-compile", action="store_true",
-                        help="force the tree-walking interpreter (skip "
-                             "closure compilation)")
-    p_prof.set_defaults(func=cmd_profile)
-
-    p_an = sub.add_parser("analyze", help="hot-loop dependence coverage")
-    p_an.add_argument("file")
-    p_an.add_argument("--entry", default="main")
-    p_an.add_argument("--system", choices=sorted(SYSTEM_BUILDERS),
-                      default="scaf")
+    p_an = sub.add_parser(
+        "analyze", parents=[file_, entry, system, json_, compile_,
+                            _service_flags(), trace],
+        help="hot-loop dependence coverage")
     p_an.add_argument("--deps", action="store_true",
                       help="list residual dependences")
     p_an.add_argument("--all", action="store_true",
                       help="with --deps, also list removed dependences")
-    p_an.add_argument("--json", action="store_true",
-                      help="emit the service's LoopAnswer schema")
-    p_an.add_argument("--workers", type=int, default=None,
-                      help="route through the serving layer with this "
-                           "many pool workers")
-    p_an.add_argument("--cache-dir", default=None,
-                      help="persistent result-cache directory "
-                           "(implies the serving layer)")
-    p_an.add_argument("--cache-l2", default=None, metavar="URL",
-                      help="remote L2 cache tier (redis://host:port; "
-                           "the REPRO_CACHE_L2 environment variable "
-                           "works too); requires --cache-dir")
-    p_an.add_argument("--executor",
-                      choices=("process", "thread", "inline"),
-                      default="process")
-    p_an.add_argument("--timeout", type=float, default=None,
-                      help="per-shard deadline in seconds")
-    p_an.add_argument("--no-incremental", action="store_true",
-                      help="disable footprint-based incremental reuse "
-                           "of cached answers across module edits")
-    p_an.add_argument("--queue", action=argparse.BooleanOptionalAction,
-                      default=True,
-                      help="global loop-granular work queue "
-                           "(--no-queue falls back to per-request "
-                           "shards)")
-    p_an.add_argument("--prepared-cache-size", type=int, default=None,
-                      metavar="N",
-                      help="worker-resident prepared-module LRU "
-                           "capacity (queue mode)")
-    p_an.add_argument("--trace", default=None, metavar="PATH",
-                      help="record a span timeline (Chrome trace-event "
-                           "format; JSONL when PATH ends in .jsonl)")
-    p_an.add_argument("--trace-sample", type=int, default=1, metavar="N",
-                      help="record every N-th query subtree (default 1)")
-    p_an.add_argument("--no-compile", action="store_true",
-                      help="force the tree-walking interpreter (skip "
-                           "closure compilation)")
-    p_an.add_argument("--no-cost-model", action="store_true",
-                      help="schedule by the static LPT estimate "
-                           "instead of measured-duration predictions "
-                           "(the REPRO_NO_COST_MODEL environment "
-                           "variable works too)")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_batch = sub.add_parser(
-        "batch",
-        help="batched, parallel, cached dependence-query service")
-    p_batch.add_argument("targets", nargs="*",
-                         help="workload names (see repro.workloads) "
-                              "and/or .ir files")
-    p_batch.add_argument("--all", action="store_true",
-                         help="serve all 16 registered workloads")
-    p_batch.add_argument("--entry", default="main",
-                         help="entry function for .ir file targets")
-    p_batch.add_argument("--system", choices=sorted(SYSTEM_BUILDERS),
-                         default="scaf")
-    p_batch.add_argument("--workers", type=int, default=4)
-    p_batch.add_argument("--executor",
-                         choices=("process", "thread", "inline"),
-                         default="process")
-    p_batch.add_argument("--cache-dir", default=None,
-                         help="persistent result-cache directory")
-    p_batch.add_argument("--cache-l2", default=None, metavar="URL",
-                         help="remote L2 cache tier (redis://host:port; "
-                              "the REPRO_CACHE_L2 environment variable "
-                              "works too); requires --cache-dir")
-    p_batch.add_argument("--timeout", type=float, default=None,
-                         help="per-shard deadline in seconds")
-    p_batch.add_argument("--json", action="store_true",
-                         help="emit answers + telemetry as JSON")
-    p_batch.add_argument("--no-incremental", action="store_true",
-                         help="disable footprint-based incremental "
-                              "reuse of cached answers across edits")
-    p_batch.add_argument("--queue",
-                         action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="global loop-granular work queue "
-                              "(--no-queue falls back to per-request "
-                              "shards)")
-    p_batch.add_argument("--prepared-cache-size", type=int,
-                         default=None, metavar="N",
-                         help="worker-resident prepared-module LRU "
-                              "capacity (queue mode)")
-    p_batch.add_argument("--trace", default=None, metavar="PATH",
-                         help="record a span timeline (Chrome "
-                              "trace-event format; JSONL when PATH "
-                              "ends in .jsonl)")
-    p_batch.add_argument("--trace-sample", type=int, default=1,
-                         metavar="N",
-                         help="record every N-th query subtree "
-                              "(default 1)")
-    p_batch.add_argument("--daemon", default=None, metavar="ADDR",
-                         help="reuse a running `repro serve` at ADDR "
-                              "(unix:/path.sock or host:port; the "
-                              "REPRO_DAEMON environment variable works "
-                              "too); falls back to the in-process pool "
-                              "if unreachable")
-    p_batch.add_argument("--no-compile", action="store_true",
-                         help="force the tree-walking interpreter "
-                              "(skip closure compilation)")
-    p_batch.add_argument("--no-cost-model", action="store_true",
-                         help="schedule by the static LPT estimate "
-                              "instead of measured-duration "
-                              "predictions (the REPRO_NO_COST_MODEL "
-                              "environment variable works too)")
-    p_batch.set_defaults(func=cmd_batch)
+    sub.add_parser(
+        "batch", parents=[targets, entry, system, json_, compile_,
+                          daemon, _service_flags(), trace],
+        help="batched, parallel, cached dependence-query service"
+        ).set_defaults(func=cmd_batch, workers=4)
 
     p_serve = sub.add_parser(
-        "serve",
+        "serve", parents=[compile_, _service_flags(), trace],
         help="resident analysis daemon: persistent worker fleet "
              "behind a socket")
     p_serve.add_argument("--addr", default=None,
                          help="listen address (unix:/path.sock or "
                               "host:port; default unix socket in cwd)")
-    p_serve.add_argument("--workers", type=int, default=4)
-    p_serve.add_argument("--executor",
-                         choices=("process", "thread", "inline"),
-                         default="process")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="persistent result-cache directory")
-    p_serve.add_argument("--cache-l2", default=None, metavar="URL",
-                         help="remote L2 cache tier shared by the "
-                              "daemon fleet (redis://host:port; the "
-                              "REPRO_CACHE_L2 environment variable "
-                              "works too); requires --cache-dir")
-    p_serve.add_argument("--timeout", type=float, default=None,
-                         help="per-shard deadline in seconds")
-    p_serve.add_argument("--no-incremental", action="store_true",
-                         help="disable footprint-based incremental "
-                              "reuse of cached answers across edits")
-    p_serve.add_argument("--prepared-cache-size", type=int,
-                         default=None, metavar="N",
-                         help="worker-resident prepared-module LRU "
-                              "capacity")
     p_serve.add_argument("--idle-ttl", type=float, default=None,
                          metavar="SECONDS",
                          help="tear idle workers down after this long "
@@ -926,11 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--drain-timeout", type=float, default=60.0,
                          help="seconds shutdown waits for in-flight "
                               "jobs")
-    p_serve.add_argument("--trace", default=None, metavar="PATH",
-                         help="record the daemon's span timeline on "
-                              "exit (all sessions, one tree)")
-    p_serve.add_argument("--trace-sample", type=int, default=1,
-                         metavar="N")
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          metavar="PORT",
                          help="serve GET /metrics (Prometheus text) "
@@ -955,57 +901,28 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit NDJSON lifecycle events (sheds, "
                               "recycles, L2 cooldowns, drain) on "
                               "stderr")
-    p_serve.add_argument("--no-compile", action="store_true",
-                         help="force the tree-walking interpreter "
-                              "(skip closure compilation)")
-    p_serve.add_argument("--no-cost-model", action="store_true",
-                         help="schedule by the static LPT estimate "
-                              "instead of measured-duration "
-                              "predictions (the REPRO_NO_COST_MODEL "
-                              "environment variable works too)")
-    p_serve.set_defaults(func=cmd_serve)
+    p_serve.set_defaults(func=cmd_serve, workers=4)
 
-    p_submit = sub.add_parser(
-        "submit",
-        help="send workloads to a running daemon and stream answers")
-    p_submit.add_argument("targets", nargs="*",
-                          help="workload names and/or .ir files")
-    p_submit.add_argument("--all", action="store_true",
-                          help="submit all 16 registered workloads")
-    p_submit.add_argument("--entry", default="main",
-                          help="entry function for .ir file targets")
-    p_submit.add_argument("--system", choices=sorted(SYSTEM_BUILDERS),
-                          default="scaf")
-    p_submit.add_argument("--daemon", default=None, metavar="ADDR",
-                          help="daemon address (default REPRO_DAEMON "
-                               "or the default unix socket)")
-    p_submit.add_argument("--json", action="store_true",
-                          help="emit answers as JSON")
-    p_submit.set_defaults(func=cmd_submit)
-
-    p_down = sub.add_parser(
-        "shutdown", help="ask a running daemon to drain and exit")
-    p_down.add_argument("--daemon", default=None, metavar="ADDR",
-                        help="daemon address (default REPRO_DAEMON or "
-                             "the default unix socket)")
-    p_down.set_defaults(func=cmd_shutdown)
+    sub.add_parser(
+        "submit", parents=[targets, entry, system, json_, daemon],
+        help="send workloads to a running daemon and stream answers"
+        ).set_defaults(func=cmd_submit)
+    sub.add_parser(
+        "shutdown", parents=[daemon],
+        help="ask a running daemon to drain and exit"
+        ).set_defaults(func=cmd_shutdown)
 
     p_stats = sub.add_parser(
-        "stats",
+        "stats", parents=[json_, daemon],
         help="summarize a --trace file (attribution, span structure) "
              "or a live daemon (--daemon)")
     p_stats.add_argument("file", nargs="?", default=None,
                          help="trace file from analyze/batch --trace")
-    p_stats.add_argument("--json", action="store_true",
-                         help="machine-readable summary")
     p_stats.add_argument("--check", action="store_true",
                          help="validate only: exit nonzero unless the "
                               "trace parses and spans nest correctly "
                               "(with --daemon: the daemon answers "
                               "sanely)")
-    p_stats.add_argument("--daemon", default=None, metavar="ADDR",
-                         help="summarize a live daemon over its "
-                              "socket instead of a trace file")
     p_stats.add_argument("--flight", action="store_true",
                          help="with --daemon: print the flight "
                               "recorder's dump (recent + slow query "
@@ -1016,11 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=cmd_stats)
 
     p_top = sub.add_parser(
-        "top",
+        "top", parents=[daemon],
         help="live terminal dashboard over a running daemon")
-    p_top.add_argument("--daemon", default=None, metavar="ADDR",
-                       help="daemon address (default REPRO_DAEMON or "
-                            "the default unix socket)")
     p_top.add_argument("--interval", type=float, default=2.0,
                        metavar="SECONDS",
                        help="refresh period (default 2s)")
@@ -1037,10 +951,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # The env var (not set_compilation_enabled) so the choice
         # survives into ProcessPoolExecutor workers.
         os.environ["REPRO_NO_COMPILE"] = "1"
-    if getattr(args, "no_cost_model", False):
-        # Same env-var route: the scheduler reads it at construction,
-        # wherever the service gets built (in-process or daemon).
-        os.environ["REPRO_NO_COST_MODEL"] = "1"
     return args.func(args)
 
 

@@ -33,7 +33,6 @@ CAT_QUERY = "query"
 CAT_MODULE = "module_eval"
 CAT_PREMISE = "premise"
 CAT_LOOP = "loop"
-CAT_SHARD = "shard"
 
 
 @dataclass

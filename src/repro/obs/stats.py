@@ -29,9 +29,8 @@ def _category_summary(spans: List[Mapping]) -> Dict[str, Dict]:
 
 def _prepared_cache_summary(spans: List[Mapping]) -> Dict[str, int]:
     """Worker prepared-module cache traffic, recomputed from the
-    ``loop_task`` spans (queue mode stamps each with prepared=hit/
-    miss), so ``repro stats`` shows the hit rate from the artifact
-    alone."""
+    ``loop_task`` spans (each is stamped prepared=hit/miss), so
+    ``repro stats`` shows the hit rate from the artifact alone."""
     hits = misses = 0
     for s in spans:
         if s.get("cat") != "task":

@@ -4,9 +4,9 @@ A :class:`TraceContext` collects :class:`Span` records — named,
 timed, attributed intervals with parent links and point-in-time
 events — from every layer of the reproduction: the Orchestrator
 (span per query, child span per module evaluation, premise-query
-recursion), the batch scheduler (dedup, cache probe, shard dispatch),
-pool workers (shard setup, per-loop analysis), and the interpreter's
-profiling run.
+recursion), the batch scheduler (dedup, cache probe, task dispatch),
+pool workers (loop tasks: module setup, per-loop analysis), and the
+interpreter's profiling run.
 
 Design constraints (see DESIGN.md §6):
 
@@ -18,14 +18,14 @@ Design constraints (see DESIGN.md §6):
 - **Sampling-aware.**  ``TraceContext(sample_every=N)`` records every
   N-th *sampling root* (the Orchestrator marks its top-level query
   spans ``sample=True``) together with its entire subtree and
-  suppresses the rest; infrastructure spans (shards, profiling,
+  suppresses the rest; infrastructure spans (loop tasks, profiling,
   scheduler phases) are never sampled away.
 - **Cross-process merge.**  Spans timestamp their start with the
   epoch clock (``time.time``) and measure duration with the
   monotonic clock, carry ``pid``/``tid``, and serialize to plain
   dicts.  A worker ships its finished spans back inside the
-  :class:`~repro.service.worker.ShardResult` and the scheduler
-  re-parents them under the shard's dispatch span
+  :class:`~repro.service.worker.LoopTaskResult` and the work engine
+  re-parents them under the task's dispatch span
   (:meth:`TraceContext.adopt`), yielding one timeline across
   processes.
 """
@@ -172,7 +172,7 @@ class _TraceLocal(threading.local):
 
 #: Per-process TraceContext serial: span ids are namespaced by
 #: ``pid.context`` so two contexts in one process (the inline and
-#: thread executors run worker shards in the scheduler's process)
+#: thread executors run loop tasks in the scheduler's process)
 #: can never mint colliding ids.
 _CONTEXT_SERIAL = itertools.count(1)
 
@@ -248,8 +248,8 @@ class TraceContext:
         """Merge spans serialized in another process into this trace.
 
         Foreign root spans (``parent is None``) are re-parented under
-        ``parent_id`` — the scheduler passes its dispatch span so a
-        worker's timeline nests inside the shard that ran it.  Ids are
+        ``parent_id`` — the work engine passes its dispatch span so a
+        worker's timeline nests inside the task that ran it.  Ids are
         namespaced by pid at creation, so no rewriting is needed.
         """
         merged = []
@@ -326,7 +326,7 @@ NOOP = _NoopTracer()
 
 #: Process-wide current tracer.  A plain module global (not a
 #: contextvar): tracing is enabled per process (CLI entry or worker
-#: shard), and a global read is the cheapest possible disabled check
+#: task), and a global read is the cheapest possible disabled check
 #: for the Orchestrator's hot path.
 _CURRENT = NOOP
 

@@ -9,12 +9,12 @@ DESIGN.md §5, "Serving layer"):
   version-hash cache keying;
 - :mod:`cache` — the on-disk sqlite :class:`ResultCache`;
 - :mod:`scheduler` — deduplication, the global loop-granular work
-  queue (LPT-ordered, shared across in-flight requests) or legacy
-  per-request shards, backpressure, timeout/crash degradation;
+  queue (LPT-ordered, shared across in-flight requests),
+  backpressure, timeout/crash degradation;
 - :mod:`costmodel` — predicted per-loop wall times from the persisted
   ``durations`` table (measured-duration LPT + affinity setup charge);
-- :mod:`worker` — per-shard and per-loop-task evaluation in pool
-  workers, with a worker-resident prepared-module LRU;
+- :mod:`worker` — per-loop-task evaluation in pool workers, with a
+  worker-resident prepared-module LRU;
 - :mod:`telemetry` — latency histograms, cache and utilization
   counters, printable report;
 - :mod:`service` — the :class:`DependenceService` facade.
@@ -61,8 +61,6 @@ from .worker import (
     LoopTask,
     LoopTaskResult,
     PreparedModule,
-    ShardResult,
-    ShardTask,
     build_system,
     executed_function_scope,
     loop_footprint,
@@ -70,7 +68,6 @@ from .worker import (
     prepared_cache_keys,
     reset_prepared_cache,
     run_loop_task,
-    run_shard,
 )
 
 __all__ = [
@@ -81,7 +78,7 @@ __all__ = [
     "LatencyHistogram", "LoopAnswer",
     "LoopTask", "LoopTaskResult", "PreparedModule",
     "QueryAnswer", "ResultCache", "ServiceConfig", "ServiceTelemetry",
-    "ShardResult", "ShardTask", "TelemetrySnapshot",
+    "TelemetrySnapshot",
     "STATUS_CACHED", "STATUS_COMPUTED", "STATUS_FALLBACK",
     "build_system", "config_fingerprint", "executed_function_scope",
     "fallback_answer",
@@ -89,6 +86,6 @@ __all__ = [
     "loop_answer_to_dict", "loop_footprint", "loop_footprint_digest",
     "prepare_request", "prepared_cache_keys", "profile_digest",
     "request_for_file", "request_for_workload", "reset_prepared_cache",
-    "run_loop_task", "run_shard", "summarize_pdg",
+    "run_loop_task", "summarize_pdg",
     "system_module_roster",
 ]

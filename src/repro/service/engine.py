@@ -17,11 +17,11 @@ object with its own lifetime:
   to the batch that enqueued it through a per-ticket callback.  Every
   delivery runs on the dispatcher thread, so batch bookkeeping (the
   outstanding-task countdown, discovery fan-out) needs no locks;
-- the **executor** (process / thread / inline pool), built lazily,
-  rebuilt in place after a worker crash (the rebuild-mid-drain
-  behaviour the per-batch drain loop pioneered), torn down after
-  ``idle_ttl_s`` of queue silence (the daemon's worker scale-down)
-  and lazily rebuilt on the next ticket;
+- one **single-worker executor per slot** (process / thread /
+  inline), built lazily, rebuilt in place after a worker crash or an
+  expired task deadline, torn down after ``idle_ttl_s`` of queue
+  silence (the daemon's worker scale-down) and lazily rebuilt on the
+  next ticket;
 - **cancellation by client tag**: queued tickets of a disconnected
   daemon session are swept out and delivered as ``cancelled`` so the
   batch accounting still completes.  In-flight tasks cannot be
@@ -59,7 +59,7 @@ class _InlineExecutor:
         except Exception as exc:  # mirror pool behaviour for task errors
             future.set_exception(exc)
         # KeyboardInterrupt/SystemExit propagate: turning them into a
-        # future exception would swallow a user's ctrl-C as a shard
+        # future exception would swallow a user's ctrl-C as a task
         # degradation.
         return future
 
@@ -76,14 +76,15 @@ def _pool_worker_init(compile_enabled: bool) -> None:
     set_compilation_enabled(compile_enabled)
 
 
-def _make_executor(kind: str, workers: int):
-    if kind == "inline" or workers <= 0:
+def _make_executor(kind: str):
+    """One worker slot's executor: a single-worker pool of ``kind``."""
+    if kind == "inline":
         return _InlineExecutor()
     if kind == "thread":
-        return cf.ThreadPoolExecutor(max_workers=workers)
+        return cf.ThreadPoolExecutor(max_workers=1)
     if kind == "process":
         return cf.ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=1,
             initializer=_pool_worker_init,
             initargs=(compilation_enabled(),))
     raise ValueError(f"unknown executor kind: {kind!r}")
@@ -106,8 +107,8 @@ def lpt_weight(fraction: float, total_instructions: int) -> float:
 
 
 #: Loop-name placeholder when a task degraded before the hot-loop
-#: roster was discovered (mirrors scheduler.UNKNOWN_LOOPS).
-_UNKNOWN = "*"
+#: roster was discovered.
+UNKNOWN_LOOPS = "*"
 
 
 class Ticket:
@@ -213,9 +214,7 @@ class WorkEngine:
         self._done: deque = deque()
         self._cancelled_q: deque = deque()
         self._thread: Optional[threading.Thread] = None
-        self._executor = None
-        #: Per-worker dispatch lanes (queue mode), built lazily like
-        #: the legacy shared executor.
+        #: Per-worker dispatch lanes, built lazily on the first ticket.
         self._slots: Optional[List[_Slot]] = None
         #: Queued tickets carrying a setup charge; 0 means placement
         #: degenerates to a plain priority pop (static fast path).
@@ -229,21 +228,7 @@ class WorkEngine:
             return 1
         return self.workers
 
-    # -- executor lifetime (shared with the legacy shard path) ---------------
-
-    def executor_or_none(self):
-        return self._executor
-
-    def set_executor(self, executor) -> None:
-        """Legacy hook: the shard-mode drain loop still owns its own
-        rebuild-on-crash decisions and assigns through here."""
-        self._executor = executor
-
-    def ensure_executor(self):
-        if self._executor is None:
-            self._executor = _make_executor(self.executor_kind,
-                                            self.workers)
-        return self._executor
+    # -- fleet lifetime -------------------------------------------------------
 
     def recycle(self) -> int:
         """Gracefully replace the worker fleet (the daemon's ``recycle``
@@ -254,25 +239,11 @@ class WorkEngine:
         with self._cond:
             if self._closed:
                 return 0
-            if self._executor is not None:
-                self._swap_executor()
             if self._slots is not None:
                 for slot in self._slots:
                     self._swap_slot(slot)
             self.telemetry.count("fleet_rebuilds")
             return len(self._inflight)
-
-    def _swap_executor(self) -> None:
-        try:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-        except Exception:
-            pass
-        self._executor = _make_executor(self.executor_kind, self.workers)
-
-    def _rebuild_executor(self) -> None:
-        self._swap_executor()
-        self.telemetry.count("fleet_rebuilds")
 
     def _swap_slot(self, slot: _Slot) -> None:
         """Replace one slot's worker and forget its modeled residency
@@ -281,7 +252,7 @@ class WorkEngine:
             slot.executor.shutdown(wait=False)
         except Exception:
             pass
-        slot.executor = _make_executor(self.executor_kind, 1)
+        slot.executor = _make_executor(self.executor_kind)
         slot.resident.clear()
 
     def _rebuild_slot(self, slot: _Slot) -> None:
@@ -291,7 +262,7 @@ class WorkEngine:
     def _ensure_slots(self) -> List[_Slot]:
         if self._slots is None:
             self._slots = [
-                _Slot(i, _make_executor(self.executor_kind, 1))
+                _Slot(i, _make_executor(self.executor_kind))
                 for i in range(self._nslots())]
         return self._slots
 
@@ -386,7 +357,6 @@ class WorkEngine:
             self._cancelled_q.clear()
             self._inflight.clear()
             self._done.clear()
-            executor, self._executor = self._executor, None
             slots, self._slots = self._slots or [], None
         for ticket in pending:
             self.telemetry.count("tasks_cancelled")
@@ -397,11 +367,6 @@ class WorkEngine:
         for slot in slots:
             try:
                 slot.executor.shutdown(wait=False)
-            except Exception:
-                pass
-        if executor is not None:
-            try:
-                executor.shutdown(wait=False)
             except Exception:
                 pass
 
@@ -424,11 +389,14 @@ class WorkEngine:
                     self._thread = None
                     return
                 now = time.perf_counter()
+                # A ticket leaves the in-flight window (and the depth
+                # gauge) here, before this round refills the window.
                 completed = []
                 while self._done:
                     future = self._done.popleft()
                     ticket = self._inflight.pop(future, None)
                     if ticket is not None:
+                        self.telemetry.dequeue()
                         completed.append((future, ticket))
                 cancelled = []
                 while self._cancelled_q:
@@ -438,6 +406,7 @@ class WorkEngine:
                     for future, ticket in list(self._inflight.items()):
                         if now - ticket.submitted >= self.task_timeout_s:
                             del self._inflight[future]
+                            self.telemetry.dequeue()
                             future.cancel()
                             expired.append(ticket)
                 to_dispatch: List[Ticket] = []
@@ -471,8 +440,7 @@ class WorkEngine:
                     # the fleet down, or exit now (the thread restarts
                     # on the next submit; the executor stays warm).
                     if (self.idle_ttl_s is not None
-                            and (self._executor is not None
-                                 or self._slots is not None)):
+                            and self._slots is not None):
                         remaining = (self._idle_since + self.idle_ttl_s
                                      - now)
                         if remaining > 0:
@@ -483,13 +451,7 @@ class WorkEngine:
                             if (time.perf_counter() - self._idle_since
                                     < self.idle_ttl_s):
                                 continue
-                        if self._executor is not None:
-                            try:
-                                self._executor.shutdown(wait=False)
-                            except Exception:
-                                pass
-                            self._executor = None
-                        for slot in (self._slots or ()):
+                        for slot in self._slots:
                             try:
                                 slot.executor.shutdown(wait=False)
                             except Exception:
@@ -569,8 +531,7 @@ class WorkEngine:
 
     def _release(self, ticket: Ticket) -> None:
         slot, ticket.slot = ticket.slot, None
-        if slot is not None:
-            slot.inflight = max(0, slot.inflight - 1)
+        slot.inflight = max(0, slot.inflight - 1)
 
     def _dispatch(self, ticket: Ticket) -> bool:
         tel = self.telemetry
@@ -587,14 +548,12 @@ class WorkEngine:
                             parent=ticket.trace_parent,
                             workload=task.request.name,
                             system=task.request.system,
-                            loop=task.loop or _UNKNOWN,
+                            loop=task.loop or UNKNOWN_LOOPS,
                             discovery=task.loop is None,
                             queue_wait_s=wait_s)
         ticket.span = span
-        executor = (ticket.slot.executor if ticket.slot is not None
-                    else self.ensure_executor())
         try:
-            future = executor.submit(self._loop_runner, task)
+            future = ticket.slot.executor.submit(self._loop_runner, task)
         except Exception:
             tel.dequeue()
             span.end(status="submit_failure")
@@ -624,7 +583,6 @@ class WorkEngine:
     def _finish(self, future: cf.Future, ticket: Ticket) -> None:
         tel = self.telemetry
         tracer = current_tracer()
-        tel.dequeue()
         try:
             result = future.result()
         except Exception:
@@ -633,10 +591,7 @@ class WorkEngine:
             # the rest of the queue still runs.
             ticket.span.end(status="worker_crash")
             with self._cond:
-                if ticket.slot is not None:
-                    self._rebuild_slot(ticket.slot)
-                else:
-                    self._rebuild_executor()
+                self._rebuild_slot(ticket.slot)
             self._release(ticket)
             self._observe(ticket, "failure",
                           time.perf_counter() - ticket.submitted)
@@ -654,14 +609,12 @@ class WorkEngine:
         ticket.deliver(ticket, "ok", result, None)
 
     def _finish_expired(self, ticket: Ticket) -> None:
-        self.telemetry.dequeue()
         ticket.span.end(status="timeout")
-        if ticket.slot is not None:
-            # The worker may still be chewing the abandoned task;
-            # replace it so the slot's next ticket starts clean rather
-            # than queueing behind a zombie.
-            with self._cond:
-                self._rebuild_slot(ticket.slot)
+        # The worker may still be chewing the abandoned task; replace
+        # it so the slot's next ticket starts clean rather than
+        # queueing behind a zombie.
+        with self._cond:
+            self._rebuild_slot(ticket.slot)
         self._release(ticket)
         self._observe(ticket, "timeout",
                       time.perf_counter() - ticket.submitted)

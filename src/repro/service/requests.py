@@ -140,11 +140,6 @@ class AnalysisRequest:
         family discriminator that survives an edit."""
         return f"{self.lineage_key()}:{self.name}"
 
-    def shard_key(self) -> tuple:
-        """Identity for in-flight deduplication: requests that differ
-        only in display name or loop subset share underlying work."""
-        return (self.version_key(),)
-
 
 def _digest(payload: dict) -> str:
     text = json.dumps(payload, sort_keys=True)

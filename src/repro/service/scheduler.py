@@ -1,4 +1,4 @@
-"""The batch scheduler: dedup, probe, fan out, degrade gracefully.
+"""The batch scheduler: dedup, probe, queue, degrade gracefully.
 
 Batches of :class:`AnalysisRequest` flow through four stages:
 
@@ -18,39 +18,30 @@ Batches of :class:`AnalysisRequest` flow through four stages:
    inline; either way it serves every loop whose dependence-footprint
    digest is unchanged, and the key's worker demand narrows to the
    dirtied loops.
-3. **Fan-out.**  Remaining keys become worker assignments, in one of
-   two modes:
-
-   - ``queue`` (default): one **global, loop-granular work queue**
-     shared across every in-flight request.  Each key contributes one
-     :class:`LoopTask` per (version key, loop) — or a single
-     *discovery* task when the roster is unknown — ordered
-     longest-processing-time-first by profiled loop time fraction
-     (discovery first).  Workers pull tasks as they free up, so tiny
-     requests finish while a huge module is still being chewed: no
-     per-request barrier, results stream back per loop.  Loop
-     granularity is affordable because each worker keeps a resident
-     LRU of prepared modules (parsed module + context + profiles +
-     built analysis system), so K tasks of one module pay setup once
-     per worker.
-   - ``shard`` (legacy): per-request shards, each rebuilding the
-     world and answering a chunk of one request's loops.
-
-   Both modes dispatch behind a **bounded in-flight window** —
-   submission blocks when the window is full, which is the service's
-   backpressure — and record a batch-relative completion latency per
-   original request when its last task lands (the tail-latency
-   headline ``request_completion_s``).
+3. **Fan-out.**  Remaining keys feed one **global, loop-granular work
+   queue** (the resident :class:`WorkEngine`) shared across every
+   in-flight request.  Each key contributes one :class:`LoopTask` per
+   (version key, loop) — or a single *discovery* task when the roster
+   is unknown — ordered longest-processing-time-first (discovery
+   first).  Workers pull tasks as they free up, so tiny requests
+   finish while a huge module is still being chewed: no per-request
+   barrier, results stream back per loop.  Loop granularity is
+   affordable because each worker keeps a resident LRU of prepared
+   modules (parsed module + context + profiles + built analysis
+   system), so K tasks of one module pay setup once per worker.
+   Tasks dispatch behind a **bounded in-flight window** (the
+   service's backpressure), and each original request records a
+   batch-relative completion latency when its last task lands (the
+   tail-latency headline ``request_completion_s``).
 4. **Degradation.**  A task that exceeds its deadline or whose worker
-   dies is answered with conservative fallbacks (every dependence
-   kept, %NoDep = 0) instead of failing the batch; the executor is
-   rebuilt after a pool breakage so the remaining queue still runs.
-   In queue mode only the dead task's single loop degrades.
+   dies is answered with a conservative fallback (every dependence
+   kept, %NoDep = 0) instead of failing the batch; only that task's
+   loop degrades, and its worker is replaced so the rest of the queue
+   still runs.
 """
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import os
 import threading
 import time
@@ -69,11 +60,11 @@ from .answers import STATUS_COMPUTED, STATUS_FALLBACK, LoopAnswer, \
     fallback_answer
 from .cache import ResultCache
 from .costmodel import SETUP_LOOP_KEY, CostModel, KeyPrediction
-from .engine import (  # noqa: F401  (re-exported for tests and callers)
+from .engine import (  # noqa: F401  (_InlineExecutor: re-exported)
+    UNKNOWN_LOOPS,
     Ticket,
     WorkEngine,
     _InlineExecutor,
-    _make_executor,
     lpt_weight,
 )
 from .requests import AnalysisRequest, loop_footprint_digest, \
@@ -83,17 +74,10 @@ from .worker import (
     DEFAULT_PREPARED_CACHE_SIZE,
     LoopTask,
     LoopTaskResult,
-    ShardResult,
-    ShardTask,
     executed_function_scope,
     prepare_request,
     run_loop_task,
-    run_shard,
 )
-
-#: Loop-name placeholder when a task degraded before the hot-loop
-#: roster was discovered.
-UNKNOWN_LOOPS = "*"
 
 
 class _QueueBatch:
@@ -148,13 +132,13 @@ class _KeyWork:
     #: full roster is then re-persisted under this (new) version key
     #: even if nothing needed recomputing.
     refreshed: bool = False
-    #: Queue mode: tasks still in flight or queued for this key.
+    #: Tasks still in flight or queued for this key.
     outstanding: int = 0
     #: Loop name -> measured steady-state task wall seconds, absorbed
     #: from workers and persisted into the cache's ``durations`` table
     #: (the predicted-wall-time LPT feedstock).
     durations: Dict[str, float] = field(default_factory=dict)
-    #: Queue mode: loop names already turned into tickets, so a later
+    #: Loop names already turned into tickets, so a later
     #: discovery result only enqueues the difference (predicted-roster
     #: drift catch-up).
     enqueued_loops: Set[str] = field(default_factory=set)
@@ -171,86 +155,56 @@ class BatchScheduler:
                  executor: str = "process",
                  cache: Optional[ResultCache] = None,
                  telemetry: Optional[ServiceTelemetry] = None,
-                 shard_timeout_s: Optional[float] = None,
+                 task_timeout_s: Optional[float] = None,
                  loop_timeout_s: Optional[float] = None,
-                 max_pending_shards: Optional[int] = None,
-                 max_shards_per_request: Optional[int] = None,
+                 max_pending: Optional[int] = None,
                  incremental: bool = True,
-                 mode: str = "queue",
                  prepared_cache_size: Optional[int] = None,
                  idle_ttl_s: Optional[float] = None,
-                 cost_model: Optional[bool] = None,
-                 shard_runner: Callable[[ShardTask], ShardResult] = run_shard,
+                 cost_model: bool = True,
                  loop_runner: Callable[[LoopTask], LoopTaskResult]
                  = run_loop_task):
-        if mode not in ("queue", "shard"):
-            raise ValueError(f"mode must be 'queue' or 'shard', got {mode!r}")
         self.workers = max(0, workers)
         self.executor_kind = executor
         self.cache = cache
         self.telemetry = telemetry or ServiceTelemetry(max(1, self.workers))
-        self.shard_timeout_s = shard_timeout_s
         self.loop_timeout_s = loop_timeout_s
         # `is None` checks, not `or`-defaults: an explicit 0 must be
         # rejected loudly rather than silently become the default.
-        if max_pending_shards is None:
-            max_pending_shards = 2 * max(1, workers)
-        elif max_pending_shards < 1:
-            raise ValueError("max_pending_shards must be >= 1, got "
-                             f"{max_pending_shards}")
-        if max_shards_per_request is None:
-            max_shards_per_request = max(1, workers)
-        elif max_shards_per_request < 1:
-            raise ValueError("max_shards_per_request must be >= 1, got "
-                             f"{max_shards_per_request}")
+        if max_pending is None:
+            max_pending = 2 * max(1, workers)
+        elif max_pending < 1:
+            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if prepared_cache_size is None:
             prepared_cache_size = DEFAULT_PREPARED_CACHE_SIZE
         elif prepared_cache_size < 1:
             raise ValueError("prepared_cache_size must be >= 1, got "
                              f"{prepared_cache_size}")
-        self.max_pending_shards = max_pending_shards
-        self.max_shards_per_request = max_shards_per_request
+        self.max_pending = max_pending
         self.incremental = incremental
-        self.mode = mode
         self.prepared_cache_size = prepared_cache_size
-        self._shard_runner = shard_runner
-        self._loop_runner = loop_runner
-        # The predictive cost model (queue mode only): measured
-        # durations become LPT weights, prepared-module builds become
-        # placement charges.  Opt out per-process with the
-        # REPRO_NO_COST_MODEL environment variable or per-service with
-        # cost_model=False (the --no-cost-model CLI flag sets both).
-        if cost_model is None:
-            cost_model = True
+        # The predictive cost model: measured durations become LPT
+        # weights, prepared-module builds become placement charges.
+        # Opt out per-process with the REPRO_NO_COST_MODEL environment
+        # variable or per-service with cost_model=False (the
+        # --no-cost-model CLI flag).
         if os.environ.get("REPRO_NO_COST_MODEL"):
             cost_model = False
         self.cost_model: Optional[CostModel] = (
-            CostModel(cache, self.telemetry)
-            if cost_model and mode == "queue" else None)
+            CostModel(cache, self.telemetry) if cost_model else None)
         #: The resident work engine: the global queue, the bounded
-        #: in-flight window, and the executor all live here so they
+        #: in-flight window, and the worker fleet all live here so they
         #: survive from one run_batch to the next (and, through the
         #: daemon, from one client session to the next).
         self.engine = WorkEngine(
             executor_kind=self.executor_kind,
             workers=self.workers,
-            max_pending=self.max_pending_shards,
+            max_pending=self.max_pending,
             telemetry=self.telemetry,
             loop_runner=loop_runner,
-            task_timeout_s=shard_timeout_s,
+            task_timeout_s=task_timeout_s,
             idle_ttl_s=idle_ttl_s,
         )
-
-    # The executor is owned by the engine; these accessors keep the
-    # legacy shard-mode drain loop (and its rebuild-on-crash code)
-    # working unchanged against `self._executor`.
-    @property
-    def _executor(self):
-        return self.engine.executor_or_none()
-
-    @_executor.setter
-    def _executor(self, executor) -> None:
-        self.engine.set_executor(executor)
 
     # -- public API ----------------------------------------------------------
 
@@ -277,23 +231,19 @@ class BatchScheduler:
             with tracer.span("cache_probe", cat="scheduler"):
                 pending = self._probe_cache(work)
             if pending:
-                if self.mode == "queue":
-                    predictions: Dict[str, KeyPrediction] = {}
-                    if self.cost_model is not None:
-                        # ONE batched sqlite read prices the whole
-                        # batch; per-loop probes never happen.
-                        with tracer.span("predict", cat="scheduler"):
-                            predictions = self.cost_model.predict_batch(
-                                {key: work[key].request.duration_lineage()
-                                 for key in pending})
-                    self._fan_out_queue(pending, work, client,
-                                        on_answer, predictions)
-                else:
-                    self._fan_out(pending, work)
+                predictions: Dict[str, KeyPrediction] = {}
+                if self.cost_model is not None:
+                    # ONE batched sqlite read prices the whole batch;
+                    # per-loop probes never happen.
+                    with tracer.span("predict", cat="scheduler"):
+                        predictions = self.cost_model.predict_batch(
+                            {key: work[key].request.duration_lineage()
+                             for key in pending})
+                self._fan_out(pending, work, client, on_answer,
+                              predictions)
             with tracer.span("store_results", cat="scheduler"):
                 self._store_results(work)
-            batch_span.set(keys=len(work), pending=len(pending),
-                           mode=self.mode)
+            batch_span.set(keys=len(work), pending=len(pending))
 
         tel.count("wall_s", time.perf_counter() - started)
         return [self._answers_for(request, work) for request in requests]
@@ -470,7 +420,7 @@ class BatchScheduler:
             return False
         return True
 
-    # -- completion accounting (both fan-out modes) --------------------------
+    # -- completion accounting ----------------------------------------------
 
     def _finish_key(self, entry: _KeyWork, elapsed_s: float) -> None:
         """A key's last task landed: record one completion latency per
@@ -488,141 +438,7 @@ class BatchScheduler:
         for _ in range(max(1, entry.demand)):
             self.telemetry.request_completion.record(elapsed_s)
 
-    # -- stage 3a: legacy per-request shards ---------------------------------
-
-    def _shards_for(self, key: str, entry: _KeyWork) -> List[ShardTask]:
-        """Split one key's demand into worker assignments."""
-        tracer = current_tracer()
-        trace = (TraceSpec(sample_every=tracer.sample_every)
-                 if tracer.enabled else None)
-        loops = entry.loops
-        if not loops and self.cache is not None:
-            # A prior run may have recorded the roster even though some
-            # answers are missing; reuse it to shard by loop.
-            meta = self.cache.meta(key)
-            if meta is not None:
-                loops = meta.hot_loops
-        if loops and len(loops) > 1 and self.max_shards_per_request > 1:
-            n = min(self.max_shards_per_request, len(loops))
-            chunks = [loops[i::n] for i in range(n)]
-            return [ShardTask(entry.request, tuple(chunk),
-                              self.loop_timeout_s, trace)
-                    for chunk in chunks if chunk]
-        return [ShardTask(entry.request, tuple(loops),
-                          self.loop_timeout_s, trace)]
-
-    def _fan_out(self, keys: List[str],
-                 work: Dict[str, _KeyWork]) -> None:
-        """Dispatch shards behind a bounded in-flight window."""
-        tracer = current_tracer()
-        queue: List[Tuple[str, ShardTask]] = []
-        remaining: Dict[str, int] = {}
-        for key in keys:
-            for task in self._shards_for(key, work[key]):
-                queue.append((key, task))
-                remaining[key] = remaining.get(key, 0) + 1
-
-        if self._executor is None:
-            self._executor = _make_executor(self.executor_kind, self.workers)
-
-        with tracer.span("fan_out", cat="scheduler", mode="shard",
-                         shards=len(queue)):
-            self._drain(queue, work, remaining)
-
-    def _drain(self, queue: List[Tuple[str, ShardTask]],
-               work: Dict[str, _KeyWork],
-               remaining: Dict[str, int]) -> None:
-        tel = self.telemetry
-        tracer = current_tracer()
-        started = time.perf_counter()
-
-        def task_done(key: str) -> None:
-            remaining[key] -= 1
-            if remaining[key] == 0:
-                self._finish_key(work[key],
-                                 time.perf_counter() - started)
-
-        #: future -> (key, task, submit time, dispatch span)
-        inflight: Dict[cf.Future, Tuple[str, ShardTask, float, object]] = {}
-        index = 0
-        while index < len(queue) or inflight:
-            # Backpressure: at most max_pending_shards outstanding.
-            while index < len(queue) \
-                    and len(inflight) < self.max_pending_shards:
-                key, task = queue[index]
-                index += 1
-                tel.count("shards_dispatched")
-                tel.enqueue()
-                submitted = time.perf_counter()
-                span = tracer.begin("dispatch", cat="dispatch",
-                                    workload=task.request.name,
-                                    system=task.request.system,
-                                    loops=list(task.loops))
-                try:
-                    future = self._executor.submit(self._shard_runner, task)
-                except Exception:
-                    tel.dequeue()
-                    span.end(status="submit_failure")
-                    self._degrade(work[key], task, "failure")
-                    task_done(key)
-                    continue
-                inflight[future] = (key, task, submitted, span)
-            if not inflight:
-                continue
-
-            timeout = None
-            if self.shard_timeout_s is not None:
-                now = time.perf_counter()
-                timeout = max(0.0, min(
-                    submitted + self.shard_timeout_s - now
-                    for (_, _, submitted, _) in inflight.values()))
-            done, _ = cf.wait(list(inflight), timeout=timeout,
-                              return_when=cf.FIRST_COMPLETED)
-
-            if not done and self.shard_timeout_s is not None:
-                # Deadline expired with nothing finished: degrade the
-                # overdue shards.  (Pool workers cannot be interrupted;
-                # their eventual results are discarded.)
-                now = time.perf_counter()
-                for future, (key, task, submitted, span) \
-                        in list(inflight.items()):
-                    if now - submitted >= self.shard_timeout_s:
-                        del inflight[future]
-                        tel.dequeue()
-                        future.cancel()
-                        span.end(status="timeout")
-                        self._degrade(work[key], task, "timeout")
-                        task_done(key)
-                continue
-
-            for future in done:
-                key, task, submitted, span = inflight.pop(future)
-                tel.dequeue()
-                try:
-                    result = future.result()
-                except Exception:
-                    # Worker crash (BrokenProcessPool et al.): degrade
-                    # this shard and rebuild the pool so the remaining
-                    # queue still runs.
-                    span.end(status="worker_crash")
-                    self._degrade(work[key], task, "failure")
-                    task_done(key)
-                    try:
-                        self._executor.shutdown(wait=False)
-                    except Exception:
-                        pass
-                    self._executor = _make_executor(self.executor_kind,
-                                                    self.workers)
-                    continue
-                span.end(status="completed",
-                         answers=len(result.answers))
-                tracer.adopt(result.spans, parent_id=getattr(
-                    span, "id", None))
-                self._absorb(work[key], result)
-                tel.request_latency.record(time.perf_counter() - submitted)
-                task_done(key)
-
-    # -- stage 3b: global loop-granular work queue ---------------------------
+    # -- stage 3: global loop-granular work queue ----------------------------
 
     def _known_roster(self, key: str, entry: _KeyWork
                       ) -> Optional[Tuple[Tuple[str, ...],
@@ -691,7 +507,7 @@ class BatchScheduler:
                       kind=kind, predicted=predicted,
                       predicted_setup=predicted_setup)
 
-    def _fan_out_queue(self, keys: List[str],
+    def _fan_out(self, keys: List[str],
                        work: Dict[str, _KeyWork],
                        client: str = "",
                        on_answer: Optional[Callable] = None,
@@ -707,8 +523,7 @@ class BatchScheduler:
         immediate: List[_KeyWork] = []
         predictions = predictions or {}
 
-        with tracer.span("fan_out", cat="scheduler",
-                         mode="queue") as span:
+        with tracer.span("fan_out", cat="scheduler") as span:
             parent = getattr(span, "id", None)
             tickets: List[Ticket] = []
             for key in keys:
@@ -848,36 +663,6 @@ class BatchScheduler:
 
     # -- stage 4: collect ----------------------------------------------------
 
-    def _absorb(self, entry: _KeyWork, result: ShardResult) -> None:
-        tel = self.telemetry
-        entry.hot_loops = result.hot_loops or entry.hot_loops
-        if result.hot_fractions:
-            entry.hot_fractions = dict(result.hot_fractions)
-        if result.total_instructions:
-            entry.total_instructions = result.total_instructions
-        entry.profile_digest = result.profile_digest or entry.profile_digest
-        entry.fingerprints = result.fingerprints or entry.fingerprints
-        entry.header_fingerprint = (result.header_fingerprint
-                                    or entry.header_fingerprint)
-        if result.executed_functions:
-            entry.executed_functions = result.executed_functions
-        entry.footprints.update(result.footprints)
-        for answer in result.answers:
-            entry.answers[answer.loop] = answer
-            if answer.status == STATUS_FALLBACK:
-                tel.count("loops_fallback")
-                entry.degraded = True
-            else:
-                tel.count("loops_computed")
-                tel.query_latency.record(answer.latency_s)
-                # Shard mode has no per-task wall split; the analysis
-                # latency is the best per-loop duration available.
-                entry.durations[answer.loop] = answer.latency_s
-        tel.count("module_evals", result.module_evals)
-        tel.count("orchestrator_queries", result.orchestrator_queries)
-        tel.count("busy_s", result.busy_s)
-        tel.merge_worker_metrics(result.metrics)
-
     def _absorb_task(self, entry: _KeyWork,
                      result: LoopTaskResult) -> None:
         tel = self.telemetry
@@ -917,20 +702,6 @@ class BatchScheduler:
             # same durations table: the cost model's affinity charge.
             entry.durations[SETUP_LOOP_KEY] = result.setup_s
         tel.merge_worker_metrics(result.metrics)
-
-    def _degrade(self, entry: _KeyWork, task: ShardTask,
-                 reason: str) -> None:
-        """Conservative fallback for one shard's loops."""
-        tel = self.telemetry
-        tel.count("shards_timed_out" if reason == "timeout"
-                  else "shards_failed")
-        loops = task.loops or entry.hot_loops or (UNKNOWN_LOOPS,)
-        for name in loops:
-            if name not in entry.answers:
-                entry.answers[name] = fallback_answer(
-                    entry.request.name, entry.request.system, name)
-                tel.count("loops_fallback")
-        entry.degraded = True
 
     def _degrade_task(self, entry: _KeyWork, task: LoopTask,
                       reason: str) -> None:

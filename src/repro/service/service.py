@@ -60,25 +60,20 @@ class ServiceConfig:
     #: Bound on the write-behind queue; overflow sheds the oldest
     #: pending publication (counted, never blocking).
     l2_write_queue: int = 64
-    #: Wall-clock deadline for one shard; overdue shards degrade to
-    #: conservative answers.  ``None`` waits indefinitely.
-    shard_timeout_s: Optional[float] = None
+    #: Wall-clock deadline for one dispatched task; an overdue task
+    #: degrades to a conservative answer and its worker is replaced.
+    #: ``None`` waits indefinitely.
+    task_timeout_s: Optional[float] = None
     #: Budget for one loop's analysis inside a worker; an overdue loop
-    #: degrades to a conservative answer without losing its shard.
+    #: degrades to a conservative answer while its worker lives on.
     loop_timeout_s: Optional[float] = None
     #: Bounded in-flight window (backpressure); default 2x workers.
-    max_pending_shards: Optional[int] = None
-    #: Upper bound on shards one request may be split into.
-    max_shards_per_request: Optional[int] = None
+    max_pending: Optional[int] = None
     #: Incremental re-analysis: on a cache miss, look for a prior run
     #: of the same request lineage and revalidate each cached loop's
     #: dependence footprint against the edited module, recomputing only
     #: the loops an edit actually dirtied.
     incremental: bool = True
-    #: Fan-out mode: "queue" (global loop-granular work queue, LPT
-    #: ordered, shared across in-flight requests) or "shard" (legacy
-    #: per-request shards).
-    mode: str = "queue"
     #: Capacity of each worker's resident prepared-module LRU (parsed
     #: module + context + profiles + built system per version key);
     #: ``None`` uses the worker default.
@@ -87,7 +82,7 @@ class ServiceConfig:
     #: lazily respawn on the next task (the daemon's scale-down);
     #: ``None`` keeps workers resident forever.
     idle_ttl_s: Optional[float] = None
-    #: Predictive cost-model scheduling (queue mode): measured-duration
+    #: Predictive cost-model scheduling: measured-duration
     #: LPT weights plus prepared-module affinity placement.  ``False``
     #: (or the ``REPRO_NO_COST_MODEL`` environment variable / the
     #: ``--no-cost-model`` flag) falls back to the static estimate.
@@ -124,12 +119,10 @@ class DependenceService:
             executor=self.config.executor,
             cache=self.cache,
             telemetry=self.telemetry,
-            shard_timeout_s=self.config.shard_timeout_s,
+            task_timeout_s=self.config.task_timeout_s,
             loop_timeout_s=self.config.loop_timeout_s,
-            max_pending_shards=self.config.max_pending_shards,
-            max_shards_per_request=self.config.max_shards_per_request,
+            max_pending=self.config.max_pending,
             incremental=self.config.incremental,
-            mode=self.config.mode,
             prepared_cache_size=self.config.prepared_cache_size,
             idle_ttl_s=self.config.idle_ttl_s,
             cost_model=self.config.cost_model,

@@ -36,7 +36,6 @@ __all__ = [
 #: ``module_evals{module=...}`` that merge into the same registry).
 _COUNTERS = (
     "requests",
-    "shards_dispatched",
     "shards_deduplicated",
     "shards_failed",
     "shards_timed_out",
@@ -84,7 +83,6 @@ class TelemetrySnapshot:
     """Immutable view of one service run's observability counters."""
 
     requests: int
-    shards_dispatched: int
     shards_deduplicated: int
     shards_failed: int
     shards_timed_out: int
@@ -113,11 +111,11 @@ class TelemetrySnapshot:
     max_queue_depth: int
     request_latency: Dict[str, float]   # histogram summary
     query_latency: Dict[str, float]     # per-loop analysis latencies
-    #: Seconds a queued task waited before dispatch (queue mode).
+    #: Seconds a queued task waited before dispatch.
     queue_wait: Dict[str, float] = field(default_factory=dict)
     #: Batch-relative completion latency per original request (the
     #: tail-latency headline: recorded once per deduplicated demand
-    #: when a request's last task lands, in both modes).
+    #: when a request's last task lands).
     request_completion: Dict[str, float] = field(default_factory=dict)
     #: Full registry dump: every labeled series (per-module evals,
     #: per-workload latencies) with raw histogram buckets.
@@ -125,7 +123,8 @@ class TelemetrySnapshot:
     #: Queued tasks swept when their client went away (daemon
     #: disconnect/cancel) or the engine closed mid-queue.
     tasks_cancelled: int = 0
-    #: Executor rebuilds after a worker crash (queue mode).
+    #: Worker replacements after a crash or an expired task deadline,
+    #: plus whole-fleet recycles.
     fleet_rebuilds: int = 0
     #: Idle-TTL worker-fleet teardowns (the daemon's scale-down).
     fleet_scale_downs: int = 0
@@ -245,7 +244,6 @@ class ServiceTelemetry:
         value = self.registry.value
         return TelemetrySnapshot(
             requests=value("requests"),
-            shards_dispatched=value("shards_dispatched"),
             shards_deduplicated=value("shards_deduplicated"),
             shards_failed=value("shards_failed"),
             shards_timed_out=value("shards_timed_out"),
@@ -308,8 +306,7 @@ def format_report(snap: TelemetrySnapshot) -> str:
         "service telemetry",
         "-----------------",
         f"  requests         {snap.requests} "
-        f"({snap.shards_dispatched} shards, "
-        f"{snap.loop_tasks_dispatched} loop tasks dispatched "
+        f"({snap.loop_tasks_dispatched} loop tasks dispatched "
         f"({snap.discovery_tasks} discovery), "
         f"{snap.shards_deduplicated} deduplicated in-flight)",
         f"  loops            {snap.loops_computed} computed, "

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _service_config, build_parser, main
 
 PROGRAM = """
 global @flag : i32 = 0
@@ -117,3 +117,79 @@ entry:
 """)
         assert main(["analyze", str(trivial)]) == 1
         assert "no hot loops" in capsys.readouterr().out
+
+
+# -- parser surface -----------------------------------------------------------
+
+#: The three service commands, as parse_args argv prefixes.
+SERVICE_COMMANDS = (["analyze", "f.ir"], ["batch"], ["serve"])
+
+#: Defaults every service command shares (workers differs per command).
+SERVICE_DEFAULTS = {
+    "executor": "process", "cache_dir": None, "cache_l2": None,
+    "timeout": None, "no_incremental": False, "prepared_cache_size": None,
+    "no_cost_model": False, "trace": None, "trace_sample": 1,
+    "no_compile": False,
+}
+
+
+class TestParserSurface:
+    def test_service_flag_defaults(self):
+        parser = build_parser()
+        # Parse batch/serve first: their workers=4 default must not
+        # leak into analyze, whose workers=None routes in-process.
+        for argv, workers in ((["batch"], 4), (["serve"], 4),
+                              (["analyze", "f.ir"], None)):
+            args = parser.parse_args(argv)
+            assert args.workers == workers, argv
+            for dest, default in SERVICE_DEFAULTS.items():
+                assert getattr(args, dest) == default, (argv, dest)
+
+    @pytest.mark.parametrize("argv", SERVICE_COMMANDS)
+    def test_service_flags_parse_alike(self, argv):
+        args = build_parser().parse_args(argv + [
+            "--workers", "2", "--executor", "thread", "--cache-dir", "d",
+            "--cache-l2", "redis://h:1", "--timeout", "1.5",
+            "--no-incremental", "--prepared-cache-size", "3",
+            "--no-cost-model", "--trace", "t.json", "--trace-sample", "5",
+            "--no-compile"])
+        assert (args.workers, args.executor, args.cache_dir,
+                args.cache_l2, args.timeout, args.no_incremental,
+                args.prepared_cache_size, args.no_cost_model, args.trace,
+                args.trace_sample, args.no_compile) == (
+            2, "thread", "d", "redis://h:1", 1.5, True, 3, True,
+            "t.json", 5, True)
+
+    @pytest.mark.parametrize("argv", (["analyze", "f.ir"], ["batch"]))
+    def test_queue_switch_is_gone(self, argv, capsys):
+        """The work queue is the only fan-out: the old on/off switch
+        (both its spellings) is now a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--queue"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(argv + ["--help"])
+        assert "queue" not in capsys.readouterr().out
+
+    def test_all_flag_on_analyze_batch_submit(self):
+        parser = build_parser()
+        for argv in (["analyze", "f.ir", "--all"], ["batch", "--all"],
+                     ["submit", "--all"]):
+            assert parser.parse_args(argv).all, argv
+
+    def test_service_config_from_flags(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_L2", raising=False)
+        parser = build_parser()
+        config = _service_config(parser.parse_args(
+            ["analyze", "f.ir", "--cache-dir", "d", "--timeout", "2",
+             "--no-cost-model", "--no-incremental"]))
+        assert config.workers == 4  # analyze: the service default
+        assert config.cache_dir == "d"
+        assert config.task_timeout_s == 2.0
+        assert config.cost_model is False
+        assert config.incremental is False
+        serve = parser.parse_args(["serve", "--workers", "1",
+                                   "--idle-ttl", "7"])
+        config = _service_config(serve, idle_ttl_s=serve.idle_ttl)
+        assert (config.workers, config.idle_ttl_s) == (1, 7.0)

@@ -322,7 +322,7 @@ def _run_real(requests, cache=None, cost_model=False, workers=0,
               executor="inline"):
     reset_prepared_cache()  # inline runs share this process's LRU
     scheduler = BatchScheduler(workers=workers, executor=executor,
-                               cache=cache, mode="queue",
+                               cache=cache,
                                incremental=False, cost_model=cost_model)
     try:
         return scheduler.run_batch(requests), scheduler

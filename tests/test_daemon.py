@@ -122,7 +122,7 @@ def gated_service(telemetry_workers: int, gate: threading.Event,
 
     svc.scheduler.close()
     svc.scheduler = BatchScheduler(workers=telemetry_workers,
-                                   executor="thread", mode="queue",
+                                   executor="thread",
                                    loop_runner=runner,
                                    telemetry=svc.telemetry)
     return svc

@@ -489,7 +489,7 @@ class TestTelemetry:
     def test_format_report_golden(self):
         tel = ServiceTelemetry(workers=2)
         for counter, n in (
-                ("requests", 3), ("shards_dispatched", 2),
+                ("requests", 3),
                 ("shards_deduplicated", 1), ("shards_timed_out", 1),
                 ("loops_computed", 4), ("loops_from_cache", 2),
                 ("loops_incremental", 1), ("cache_hits", 5),
@@ -500,7 +500,7 @@ class TestTelemetry:
         expected = "\n".join([
             "service telemetry",
             "-----------------",
-            "  requests         3 (2 shards, 0 loop tasks dispatched "
+            "  requests         3 (0 loop tasks dispatched "
             "(0 discovery), 1 deduplicated in-flight)",
             "  loops            4 computed, 2 from cache "
             "(1 via footprint revalidation), 0 conservative fallback",
@@ -529,11 +529,7 @@ def _traced_batch(sample_every=1):
     tracer = TraceContext(sample_every=sample_every)
     set_tracer(tracer)
     try:
-        # Legacy shard mode: these tests pin the per-shard timeline
-        # (the queue-mode loop_task timeline is covered in
-        # test_service_queue.py).
-        scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="shard")
+        scheduler = BatchScheduler(workers=0, executor="inline")
         requests = [
             AnalysisRequest("w1", make_source(), system="scaf"),
             AnalysisRequest("w2", make_source(iters=80), system="scaf"),
@@ -551,17 +547,18 @@ class TestEndToEndTracing:
         assert validate_spans(spans) == []
         cats = {s["cat"] for s in spans}
         # Every layer shows up in one timeline: scheduler phases,
-        # dispatch, the worker shard, per-loop analysis, profiling,
-        # and the Orchestrator's query/module/premise recursion.
-        for expected in ("batch", "dispatch", "shard", "loop",
+        # dispatch, the worker's loop task, per-loop analysis,
+        # profiling, and the Orchestrator's query/module/premise
+        # recursion.
+        for expected in ("batch", "dispatch", "task", "loop",
                          "profile", "query", "module_eval"):
             assert expected in cats, f"missing category {expected}"
         index = span_index(spans)
         for s in spans:
-            if s["cat"] == "shard":
+            if s["cat"] == "task":
                 assert index[s["parent"]]["cat"] == "dispatch"
             if s["cat"] == "loop":
-                assert index[s["parent"]]["cat"] == "shard"
+                assert index[s["parent"]]["cat"] == "task"
 
     def test_attribution_reconciles_with_exported_artifact(
             self, tmp_path):
@@ -588,7 +585,7 @@ class TestEndToEndTracing:
         n_sampled = sum(1 for s in sampled if s["cat"] == "query")
         assert 0 < n_sampled < n_full
         # Infrastructure spans survive sampling untouched.
-        for cat in ("batch", "shard", "loop"):
+        for cat in ("batch", "task", "loop"):
             assert (sum(1 for s in sampled if s["cat"] == cat)
                     == sum(1 for s in full if s["cat"] == cat))
         assert validate_spans(sampled) == []

@@ -1,7 +1,7 @@
 """Tests for the serving layer (repro.service).
 
 Covers the wire schema, version-keyed persistent cache, batch
-scheduler (dedup, sharding, backpressure, degradation), the service
+scheduler (dedup, backpressure, deadlines, degradation), the service
 facade, and the two contract properties the subsystem exists for:
 
 - batched answers are bitwise-identical to the sequential
@@ -14,7 +14,7 @@ import json
 import sqlite3
 import sys
 import tempfile
-import time
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,10 +28,9 @@ from repro.service import (
     AnalysisRequest,
     BatchScheduler,
     DependenceService,
+    LoopTask,
     ResultCache,
     ServiceConfig,
-    ShardResult,
-    ShardTask,
     STATUS_CACHED,
     STATUS_COMPUTED,
     STATUS_FALLBACK,
@@ -41,7 +40,7 @@ from repro.service import (
     loop_answer_to_dict,
     request_for_workload,
     reset_prepared_cache,
-    run_shard,
+    run_loop_task,
     summarize_pdg,
     system_module_roster,
 )
@@ -401,37 +400,24 @@ class TestResultCache:
 
 # -- scheduler ---------------------------------------------------------------
 
-def _canned_result(task: ShardTask) -> ShardResult:
-    loops = task.loops or ("@main:%loop",)
-    return ShardResult(
-        version_key=task.request.version_key(),
-        workload=task.request.name,
-        system=task.request.system,
-        entry=task.request.entry,
-        profile_digest="d",
-        hot_loops=loops,
-        answers=[summary for summary in
-                 (fallback_answer(task.request.name, task.request.system,
-                                  name) for name in loops)],
-        busy_s=0.01,
-    )
-
-
 class TestScheduler:
     def test_inflight_dedup(self):
         calls = []
 
         def runner(task):
             calls.append(task)
-            return _canned_result(task)
+            return run_loop_task(task)
 
         scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="shard", shard_runner=runner)
+                                   loop_runner=runner)
         a = AnalysisRequest("a", make_source(), system="caf")
         b = AnalysisRequest("b", make_source(), system="caf")  # same key
         c = AnalysisRequest("c", make_source(iters=80), system="caf")
         results = scheduler.run_batch([a, b, c])
-        assert len(calls) == 2
+        discoveries = [t.request.version_key() for t in calls
+                       if t.loop is None]
+        assert discoveries.count(a.version_key()) == 1
+        assert len(discoveries) == 2
         assert scheduler.telemetry.shards_deduplicated == 1
         assert len(results) == 3
         assert identities(results[0]) == identities(results[1])
@@ -441,7 +427,7 @@ class TestScheduler:
             raise RuntimeError("worker died")
 
         scheduler = BatchScheduler(workers=1, executor="thread",
-                                   mode="shard", shard_runner=runner)
+                                   loop_runner=runner)
         request = AnalysisRequest("a", make_source(), system="caf",
                                   loops=("@main:%loop",))
         [answers] = scheduler.run_batch([request])
@@ -453,60 +439,68 @@ class TestScheduler:
         def runner(task):
             if task.request.name == "bad":
                 raise RuntimeError("worker died")
-            return _canned_result(task)
+            return run_loop_task(task)
 
         scheduler = BatchScheduler(workers=1, executor="thread",
-                                   mode="shard", shard_runner=runner)
+                                   loop_runner=runner)
         good = AnalysisRequest("good", make_source(), system="caf")
         bad = AnalysisRequest("bad", make_source(iters=80), system="caf",
                               loops=("@main:%loop",))
         answers = scheduler.run_batch([good, bad])
-        assert len(answers[0]) == 1
+        assert [a.status for a in answers[0]] == [STATUS_COMPUTED]
         assert [a.status for a in answers[1]] == [STATUS_FALLBACK]
         scheduler.close()
 
-    def test_shard_timeout_degrades(self):
-        def runner(task):
-            time.sleep(0.5)
-            return _canned_result(task)
+    def test_task_timeout_degrades_one_loop(self):
+        """A task past its deadline falls back conservatively and its
+        worker is replaced; every other loop is still computed."""
+        release = threading.Event()
 
-        scheduler = BatchScheduler(workers=1, executor="thread",
-                                   shard_timeout_s=0.05,
-                                   mode="shard", shard_runner=runner)
-        request = AnalysisRequest("a", make_source(), system="caf",
-                                  loops=("@main:%loop",))
-        [answers] = scheduler.run_batch([request])
-        assert [a.status for a in answers] == [STATUS_FALLBACK]
-        assert scheduler.telemetry.shards_timed_out == 1
-        scheduler.close()
+        def runner(task):
+            if task.loop == "@work2:%loop":
+                release.wait(30.0)  # outlives the deadline
+            return run_loop_task(task)
+
+        scheduler = BatchScheduler(workers=2, executor="thread",
+                                   task_timeout_s=2.0, loop_runner=runner)
+        request = AnalysisRequest("a", TWO_LOOP_SOURCE.format(step=1),
+                                  system="caf")
+        try:
+            [answers] = scheduler.run_batch([request])
+        finally:
+            release.set()
+            scheduler.close()
+        by_loop = {a.loop: a.status for a in answers}
+        assert by_loop == {"@work1:%loop": STATUS_COMPUTED,
+                           "@work2:%loop": STATUS_FALLBACK}
+        snap = scheduler.telemetry.snapshot()
+        assert snap.shards_timed_out == 1
+        assert snap.fleet_rebuilds == 1
+        assert snap.loops_fallback == 1
 
     def test_bounded_inflight_backpressure(self):
-        def runner(task):
-            return _canned_result(task)
-
-        scheduler = BatchScheduler(workers=2, executor="inline",
-                                   max_pending_shards=1,
-                                   mode="shard", shard_runner=runner)
+        scheduler = BatchScheduler(workers=2, executor="thread",
+                                   max_pending=1)
         requests = [AnalysisRequest(f"r{i}", make_source(iters=55 + i),
                                     system="caf") for i in range(5)]
-        scheduler.run_batch(requests)
-        assert scheduler.telemetry.shards_dispatched == 5
+        results = scheduler.run_batch(requests)
+        scheduler.close()
+        assert all(len(answers) == 1 for answers in results)
+        # One discovery task plus one loop task per request, never
+        # more than one in flight although two workers are idle.
+        assert scheduler.telemetry.loop_tasks_dispatched == 10
         assert scheduler.telemetry.max_queue_depth <= 1
 
     def test_init_rejects_non_positive_limits(self):
         """An explicit 0 (or negative) limit is a configuration error,
         not a request for the default."""
         for bad in (0, -1):
-            with pytest.raises(ValueError, match="max_pending_shards"):
+            with pytest.raises(ValueError, match="max_pending"):
                 BatchScheduler(workers=2, executor="inline",
-                               max_pending_shards=bad)
-            with pytest.raises(ValueError, match="max_shards_per_request"):
-                BatchScheduler(workers=2, executor="inline",
-                               max_shards_per_request=bad)
+                               max_pending=bad)
         # None still means "derive from workers".
         scheduler = BatchScheduler(workers=3, executor="inline")
-        assert scheduler.max_pending_shards == 6
-        assert scheduler.max_shards_per_request == 3
+        assert scheduler.max_pending == 6
 
     def test_inline_executor_propagates_interrupts(self):
         """KeyboardInterrupt/SystemExit must escape; ordinary task
@@ -524,23 +518,6 @@ class TestScheduler:
         future = executor.submit(lambda: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             future.result()
-
-    def test_loop_sharding_splits_known_rosters(self):
-        seen = []
-
-        def runner(task):
-            seen.append(task.loops)
-            return _canned_result(task)
-
-        scheduler = BatchScheduler(workers=4, executor="inline",
-                                   max_shards_per_request=4,
-                                   mode="shard", shard_runner=runner)
-        request = AnalysisRequest("a", make_source(), system="caf",
-                                  loops=("l1", "l2", "l3", "l4"))
-        scheduler.run_batch([request])
-        assert len(seen) == 4
-        assert sorted(l for chunk in seen for l in chunk) == \
-            ["l1", "l2", "l3", "l4"]
 
 
 # -- end-to-end --------------------------------------------------------------
@@ -853,9 +830,10 @@ class TestScopedFootprints:
         request = AnalysisRequest(
             "scoped", SCOPED_LOOPS_SOURCE.format(extra="", iters=60),
             system="scaf")
-        result = run_shard(ShardTask(request))
-        assert result.footprints
-        for loop, footprint in result.footprints.items():
+        roster = run_loop_task(LoopTask(request)).hot_loops
+        assert roster
+        for loop in roster:
+            footprint = run_loop_task(LoopTask(request, loop)).footprint
             assert SCOPED_FOOTPRINT_SENTINEL in footprint
             assert any(n.startswith("global:") for n in footprint)
 

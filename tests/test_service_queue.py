@@ -1,13 +1,13 @@
-"""Queue-mode scheduler tests: the loop-granular global work queue,
+"""Work-queue scheduler tests: the loop-granular global work queue,
 the worker-resident prepared-module cache, crash recovery, and the
 zero-interpretation roster-reuse fast path.
 
-Shard-mode behavior (and the queue/shard shared plumbing: dedup,
-cache probe, degradation counters) is covered in test_service.py;
-this file pins what is *specific* to the queue rewrite:
+The shared scheduler plumbing (dedup, cache probe, backpressure,
+deadlines, degradation counters) is covered in test_service.py; this
+file pins what is *specific* to the queue:
 
-- queue mode and legacy shard mode return identical answers on all
-  four systems (property test);
+- the queue returns the same answers as the sequential in-process
+  path on all four systems (property test);
 - a worker death mid-queue degrades only the dead task's loop, the
   executor is rebuilt, and the rest of the queue completes;
 - K loop tasks of one module on one worker pay module setup
@@ -40,6 +40,7 @@ from repro.service import (
     reset_prepared_cache,
     run_loop_task,
 )
+from tests.test_service import sequential_answers
 
 SYSTEMS = ("caf", "confluence", "scaf", "memory-speculation")
 
@@ -113,37 +114,32 @@ def identities(answer_lists):
     return [[a.identity() for a in answers] for answers in answer_lists]
 
 
-# -- queue mode == shard mode (the correctness gate) -------------------------
+# -- queue == sequential reference (the correctness gate) -------------------
 
-class TestQueueShardEquivalence:
+class TestQueueSequentialEquivalence:
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(system=st.sampled_from(SYSTEMS),
            step1=st.integers(min_value=1, max_value=3),
            step2=st.integers(min_value=1, max_value=3),
            dup=st.booleans())
-    def test_property_queue_equals_shard(self, system, step1, step2, dup):
+    def test_property_queue_equals_sequential(self, system, step1, step2,
+                                              dup):
         """For every analysis system and module shape, the global work
         queue returns the same answers (loop for loop, pair for pair)
-        as the legacy per-request shard fan-out."""
+        as one in-process system answering each loop in turn."""
         requests = [AnalysisRequest(
             "q", two_loop_source(step1=step1, step2=step2), system=system)]
         if dup:
             requests.append(requests[0])
 
         reset_prepared_cache()
-        queue_sched = BatchScheduler(workers=0, executor="inline",
-                                     mode="queue")
+        queue_sched = BatchScheduler(workers=0, executor="inline")
         queued = queue_sched.run_batch(requests)
         assert queue_sched.telemetry.snapshot().loop_tasks_dispatched > 0
 
-        reset_prepared_cache()
-        shard_sched = BatchScheduler(workers=0, executor="inline",
-                                     mode="shard")
-        sharded = shard_sched.run_batch(requests)
-        assert shard_sched.telemetry.snapshot().shards_dispatched > 0
-
-        assert identities(queued) == identities(sharded)
+        expected = sequential_answers(requests[0])
+        assert identities(queued) == identities([expected] * len(requests))
 
 
 # -- crash recovery ----------------------------------------------------------
@@ -166,9 +162,7 @@ class TestCrashAndRebuild:
             return run_loop_task(task)
 
         scheduler = BatchScheduler(workers=2, executor="thread",
-                                   mode="queue", loop_runner=flaky_runner)
-        first_executor = scheduler_mod._make_executor  # sanity: importable
-        assert first_executor is not None
+                                   loop_runner=flaky_runner)
         requests = [
             AnalysisRequest("victim", two_loop_source(), system="scaf"),
             AnalysisRequest("bystander", two_loop_source(step1=2),
@@ -203,7 +197,7 @@ class TestCrashAndRebuild:
             raise RuntimeError("worker never came up")
 
         scheduler = BatchScheduler(workers=1, executor="thread",
-                                   mode="queue", loop_runner=dead_runner)
+                                   loop_runner=dead_runner)
         [answers] = scheduler.run_batch(
             [AnalysisRequest("doomed", two_loop_source(), system="scaf")])
         scheduler.close()
@@ -225,8 +219,7 @@ class TestPreparedModuleCache:
             worker_mod, "run_profilers",
             lambda *a, **k: profiled.append(1) or real_profilers(*a, **k))
 
-        scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="queue")
+        scheduler = BatchScheduler(workers=0, executor="inline")
         [answers] = scheduler.run_batch(
             [AnalysisRequest("once", two_loop_source(), system="scaf")])
 
@@ -244,7 +237,7 @@ class TestPreparedModuleCache:
 
     def test_lru_evicts_beyond_capacity(self):
         scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="queue", prepared_cache_size=1)
+                                   prepared_cache_size=1)
         requests = [
             AnalysisRequest(f"m{i}", two_loop_source(step1=i + 1),
                             system="caf")
@@ -268,8 +261,7 @@ class TestSetupAttribution:
         """Setup cost is attributed to the task that populated the
         prepared cache; later hits bill zero additional setup, and the
         busy/setup split reconciles (setup is a subset of busy)."""
-        scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="queue")
+        scheduler = BatchScheduler(workers=0, executor="inline")
         request = AnalysisRequest("bill", two_loop_source(), system="scaf")
         scheduler.run_batch([request])
         first = scheduler.telemetry.snapshot()
@@ -278,8 +270,7 @@ class TestSetupAttribution:
 
         # Same module again: the prepared cache is warm, so every task
         # hits and NO additional setup may be billed.
-        scheduler2 = BatchScheduler(workers=0, executor="inline",
-                                    mode="queue")
+        scheduler2 = BatchScheduler(workers=0, executor="inline")
         scheduler2.run_batch([request])
         second = scheduler2.telemetry.snapshot()
         assert second.prepared_misses == 0
@@ -288,8 +279,7 @@ class TestSetupAttribution:
         assert second.busy_s > 0.0
 
     def test_utilization_report_reconciles(self):
-        scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="queue")
+        scheduler = BatchScheduler(workers=0, executor="inline")
         scheduler.run_batch(
             [AnalysisRequest("recon", two_loop_source(), system="scaf")])
         snap = scheduler.telemetry.snapshot()
@@ -304,7 +294,7 @@ class TestSetupAttribution:
 class TestRosterReuse:
     def _run(self, source, cache, monkeypatch=None, forbid_interp=False):
         scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="queue", cache=cache)
+                                   cache=cache)
         if forbid_interp:
             def _boom(*a, **k):
                 raise AssertionError(
@@ -367,8 +357,7 @@ class TestQueueTracing:
         tracer = TraceContext(sample_every=1)
         set_tracer(tracer)
         try:
-            scheduler = BatchScheduler(workers=0, executor="inline",
-                                       mode="queue")
+            scheduler = BatchScheduler(workers=0, executor="inline")
             scheduler.run_batch([
                 AnalysisRequest("t1", two_loop_source(), system="scaf"),
                 AnalysisRequest("t2", two_loop_source(step1=2),
